@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!            ┌──────────────────────────────┐   Job (frame)   ┌──────────┐
-//!  sockets ──► event loop (epoll/poll wait) ├────────────────►│ worker 0 │──┐
+//!  sockets ──► event loop (epoll wait)      ├────────────────►│ worker 0 │──┐
 //!            │  accept / read / frame /     │  sticky mpsc    ├──────────┤  │ Done
 //!            │  flush coalesced write-backs │◄────────────────┤ worker N │◄─┘ + wake
 //!            └──────────────────────────────┘   completions   └──────────┘
@@ -48,7 +48,7 @@
 //! and resumed when the backlog drains. Bytes already buffered in its
 //! `LineReader` are re-scanned on resume, so pausing never loses frames.
 
-use super::poll::{raw_fd, Interest, PollBackend, Poller, Waker};
+use super::poll::{raw_fd, Interest, Poller, Waker};
 use super::proto::{encode_line, Line, LineReader};
 use super::server::{
     accept_resource_exhausted, busy_line, handle_frame, oversized_response, ApplyService, Shared,
@@ -152,12 +152,8 @@ pub(super) fn spawn<S: ApplyService>(
     listener: TcpListener,
     shared: Arc<Shared<S>>,
 ) -> Result<(JoinHandle<()>, Waker), ServiceError> {
-    let backend = match shared.config.backend {
-        super::server::AcceptBackend::EventedPollFallback => PollBackend::Poll,
-        _ => PollBackend::Epoll,
-    };
-    let (mut poller, waker) = Poller::new(backend)
-        .map_err(|e| ServiceError::Storage(format!("readiness poller setup: {e}")))?;
+    let (mut poller, waker) =
+        Poller::new().map_err(|e| ServiceError::Storage(format!("readiness poller setup: {e}")))?;
     poller
         .register(
             raw_fd(&listener),

@@ -2,7 +2,7 @@
 //! newline-delimited JSON over the existing [`crate::ServiceCommand`]
 //! surface.
 //!
-//! Three layers, one module each:
+//! One module per layer:
 //!
 //! * [`proto`] — the wire codec: typed [`proto::Request`] /
 //!   [`proto::Response`] lines, stable [`proto::ErrorCode`]s, and the
@@ -11,13 +11,13 @@
 //! * [`tenant`] — auth tokens → tenant ids, per-tenant session
 //!   namespacing (`{tenant}::{name}`), and request-count / space quotas
 //!   with typed `quota_exceeded` rejections.
-//! * [`server`] — the accept layer (thread-per-connection or evented,
-//!   per [`AcceptBackend`]) and the shared core lock whose acquisition
+//! * [`server`] — the one accept path, [`serve`] (Linux only: it runs the
+//!   epoll event loop below), and the shared core lock whose acquisition
 //!   order defines the `seq` numbers that make interleaved multi-client
 //!   traffic replayable.
-//! * [`poll`] — the readiness abstraction behind the evented backend:
-//!   epoll on Linux, portable `poll(2)` fallback, and a self-pipe
-//!   [`poll::Waker`], layered over the `mcf0-syspoll` FFI shim.
+//! * [`poll`] — the readiness abstraction behind the event loop: epoll
+//!   plus a self-pipe [`poll::Waker`], layered over the `mcf0-syspoll`
+//!   FFI shim.
 //! * `evented` — the event-loop thread owning all connection state, a
 //!   sticky worker pool decoding/applying frames, and pipelined
 //!   write-backs coalesced into one flush per readiness cycle.
@@ -36,5 +36,5 @@ pub mod server;
 pub mod tenant;
 
 pub use proto::{ErrorCode, Request, Response, WireError, MAX_FRAME_BYTES};
-pub use server::{serve, AcceptBackend, ApplyService, ServerConfig, ServerHandle};
+pub use server::{serve, ApplyService, ServerConfig, ServerHandle};
 pub use tenant::{TenantDirectory, TenantQuota, TenantUsage};

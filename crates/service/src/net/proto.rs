@@ -392,9 +392,9 @@ pub enum Line {
 }
 
 /// A newline-splitting reader that enforces [`MAX_FRAME_BYTES`] while
-/// buffering — the decoder-side half of the frame cap. Read timeouts
-/// (`WouldBlock` / `TimedOut`) surface as errors for the caller to treat as
-/// "no data yet"; buffered partial lines survive them.
+/// buffering — the decoder-side half of the frame cap. A non-blocking
+/// source's `WouldBlock` surfaces as an error for the caller to treat as
+/// "no data yet"; buffered partial lines survive it.
 pub struct LineReader<R: Read> {
     inner: R,
     buf: Vec<u8>,

@@ -21,9 +21,9 @@
 use mcf0_bench::service_support::random_trace;
 use mcf0_service::net::proto::{encode_line, MAX_FRAME_BYTES};
 use mcf0_service::{
-    serve, AcceptBackend, CommandReply, ErrorCode, ReferenceService, Request, Response,
-    ServerConfig, ServiceCommand, SessionSpec, SketchKind, SketchService, TenantDirectory,
-    TenantQuota, TenantSketch, WireError,
+    serve, CommandReply, ErrorCode, ReferenceService, Request, Response, ServerConfig,
+    ServiceCommand, SessionSpec, SketchKind, SketchService, TenantDirectory, TenantQuota,
+    TenantSketch, WireError,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -31,36 +31,9 @@ use std::time::Duration;
 
 const BITS: usize = 16;
 
-/// Every differential scenario runs against every accept backend — the
-/// threaded baseline, the epoll event loop, and its portable `poll(2)`
-/// fallback — via the `backend_tests!` expansion at the bottom.
-macro_rules! backend_tests {
-    ($($name:ident => $imp:ident),* $(,)?) => {$(
-        mod $name {
-            use super::*;
-            #[test]
-            fn threaded() {
-                $imp(AcceptBackend::Threaded);
-            }
-            #[test]
-            fn evented() {
-                $imp(AcceptBackend::Evented);
-            }
-            #[test]
-            fn evented_poll_fallback() {
-                $imp(AcceptBackend::EventedPollFallback);
-            }
-        }
-    )*};
-}
-
-/// Starts a loopback server on `backend` over `shards` shard workers with
-/// the given tenants registered.
-fn start(
-    backend: AcceptBackend,
-    shards: usize,
-    tenants: &[(&str, &str, TenantQuota)],
-) -> mcf0_service::ServerHandle {
+/// Starts a loopback server over `shards` shard workers with the given
+/// tenants registered.
+fn start(shards: usize, tenants: &[(&str, &str, TenantQuota)]) -> mcf0_service::ServerHandle {
     let mut directory = TenantDirectory::new();
     for (id, token, quota) in tenants {
         directory.register(id, token, *quota).unwrap();
@@ -69,10 +42,7 @@ fn start(
         "127.0.0.1:0",
         SketchService::new(shards),
         directory,
-        ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap()
 }
@@ -149,15 +119,11 @@ fn expected_line(
 
 /// One tenant, one client, shard counts {1, 2, 4}: every reply line is
 /// byte-identical to the reference interpreter's.
-fn single_client_replies_are_byte_identical_across_shard_counts(backend: AcceptBackend) {
+fn single_client_replies_are_byte_identical_across_shard_counts() {
     for shards in [1usize, 2, 4] {
         for seed in [7u64, 1234, 998877] {
             let trace = random_trace(seed, BITS, 40);
-            let handle = start(
-                backend,
-                shards,
-                &[("alpha", "tok-alpha", TenantQuota::unlimited())],
-            );
+            let handle = start(shards, &[("alpha", "tok-alpha", TenantQuota::unlimited())]);
             let mut client = Client::connect(&handle);
             let mut reference = ReferenceService::new();
             for (i, command) in trace.iter().enumerate() {
@@ -180,9 +146,8 @@ fn single_client_replies_are_byte_identical_across_shard_counts(backend: AcceptB
 /// replaying the commands in `seq` order against one reference reproduces
 /// every reply line byte for byte — the acknowledged order fully explains
 /// the interleaving.
-fn interleaved_clients_replay_byte_identical_in_seq_order(backend: AcceptBackend) {
+fn interleaved_clients_replay_byte_identical_in_seq_order() {
     let handle = start(
-        backend,
         2,
         &[
             ("alpha", "tok-alpha", TenantQuota::unlimited()),
@@ -257,9 +222,8 @@ fn interleaved_clients_replay_byte_identical_in_seq_order(backend: AcceptBackend
 
 /// Namespacing: both tenants own a session literally named `"sessions"`,
 /// and neither sees the other's data.
-fn tenants_can_reuse_session_names_without_collision(backend: AcceptBackend) {
+fn tenants_can_reuse_session_names_without_collision() {
     let handle = start(
-        backend,
         2,
         &[
             ("alpha", "tok-alpha", TenantQuota::unlimited()),
@@ -317,13 +281,12 @@ fn tenants_can_reuse_session_names_without_collision(backend: AcceptBackend) {
 /// Request-count quotas: the capped tenant's sixth command is a typed
 /// `quota_exceeded` with `seq: null`, while the unlimited tenant keeps
 /// succeeding before, between and after.
-fn one_tenant_exhausting_requests_does_not_starve_another(backend: AcceptBackend) {
+fn one_tenant_exhausting_requests_does_not_starve_another() {
     let capped = TenantQuota {
         max_requests: Some(5),
         max_space_bits: None,
     };
     let handle = start(
-        backend,
         2,
         &[
             ("small", "tok-small", capped),
@@ -382,7 +345,7 @@ fn one_tenant_exhausting_requests_does_not_starve_another(backend: AcceptBackend
 
 /// Space quotas: a tenant sized for one session cannot create a second,
 /// a `drop` refunds the charge, and a roomier tenant is unaffected.
-fn space_quota_is_charged_on_create_and_refunded_on_drop(backend: AcceptBackend) {
+fn space_quota_is_charged_on_create_and_refunded_on_drop() {
     let spec = SessionSpec::new(SketchKind::Minimum, 32, 64, 5, 7);
     let bits = TenantSketch::new(&spec).space_bits() as u64;
     let cramped = TenantQuota {
@@ -390,7 +353,6 @@ fn space_quota_is_charged_on_create_and_refunded_on_drop(backend: AcceptBackend)
         max_space_bits: Some(3 * bits), // room for exactly three sessions
     };
     let handle = start(
-        backend,
         1,
         &[
             ("cramped", "tok-cramped", cramped),
@@ -452,12 +414,8 @@ fn space_quota_is_charged_on_create_and_refunded_on_drop(backend: AcceptBackend)
 /// lines each produce one typed error line and leave the connection fully
 /// usable; an unknown token is `auth_failed`; a torn trailing line closes
 /// silently without wedging the listener.
-fn hostile_lines_get_typed_errors_and_the_connection_stays_sane(backend: AcceptBackend) {
-    let handle = start(
-        backend,
-        2,
-        &[("alpha", "tok-alpha", TenantQuota::unlimited())],
-    );
+fn hostile_lines_get_typed_errors_and_the_connection_stays_sane() {
+    let handle = start(2, &[("alpha", "tok-alpha", TenantQuota::unlimited())]);
     let mut client = Client::connect(&handle);
 
     // 1. Well-encoded junk → bad_request, no id, no seq.
@@ -534,7 +492,7 @@ fn hostile_lines_get_typed_errors_and_the_connection_stays_sane(backend: AcceptB
 /// The connection cap: connection `max_connections + 1` is refused with one
 /// typed `server_busy` line and closed, while established connections keep
 /// working.
-fn over_cap_connections_are_refused_with_server_busy(backend: AcceptBackend) {
+fn over_cap_connections_are_refused_with_server_busy() {
     let mut directory = TenantDirectory::new();
     directory
         .register("alpha", "tok-alpha", TenantQuota::unlimited())
@@ -545,7 +503,6 @@ fn over_cap_connections_are_refused_with_server_busy(backend: AcceptBackend) {
         directory,
         ServerConfig {
             max_connections: 1,
-            backend,
             ..ServerConfig::default()
         },
     )
@@ -575,12 +532,54 @@ fn over_cap_connections_are_refused_with_server_busy(backend: AcceptBackend) {
     handle.shutdown();
 }
 
-backend_tests! {
-    single_client => single_client_replies_are_byte_identical_across_shard_counts,
-    interleaved_clients => interleaved_clients_replay_byte_identical_in_seq_order,
-    tenant_namespacing => tenants_can_reuse_session_names_without_collision,
-    request_quota => one_tenant_exhausting_requests_does_not_starve_another,
-    space_quota => space_quota_is_charged_on_create_and_refunded_on_drop,
-    hostile_input => hostile_lines_get_typed_errors_and_the_connection_stays_sane,
-    over_cap => over_cap_connections_are_refused_with_server_busy,
+// One module per scenario keeps each test id (`<scenario>::evented`)
+// stable; every scenario runs once, on the default server.
+
+mod single_client {
+    #[test]
+    fn evented() {
+        super::single_client_replies_are_byte_identical_across_shard_counts();
+    }
+}
+
+mod interleaved_clients {
+    #[test]
+    fn evented() {
+        super::interleaved_clients_replay_byte_identical_in_seq_order();
+    }
+}
+
+mod tenant_namespacing {
+    #[test]
+    fn evented() {
+        super::tenants_can_reuse_session_names_without_collision();
+    }
+}
+
+mod request_quota {
+    #[test]
+    fn evented() {
+        super::one_tenant_exhausting_requests_does_not_starve_another();
+    }
+}
+
+mod space_quota {
+    #[test]
+    fn evented() {
+        super::space_quota_is_charged_on_create_and_refunded_on_drop();
+    }
+}
+
+mod hostile_input {
+    #[test]
+    fn evented() {
+        super::hostile_lines_get_typed_errors_and_the_connection_stays_sane();
+    }
+}
+
+mod over_cap {
+    #[test]
+    fn evented() {
+        super::over_cap_connections_are_refused_with_server_busy();
+    }
 }

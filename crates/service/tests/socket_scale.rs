@@ -3,7 +3,7 @@
 //! durable-backed server killed and recovered mid-trace.
 //!
 //! The differential suite (`socket_differential.rs`) pins wire semantics;
-//! this suite pins the *mechanics* the readiness-driven backend adds —
+//! this suite pins the *mechanics* the readiness-driven event loop adds —
 //! that a stalled peer costs a parked buffer rather than a thread, that
 //! idle connections are free, and that [`mcf0_service::serve`] being
 //! generic over [`mcf0_service::ApplyService`] really does carry the
@@ -15,9 +15,9 @@
 
 use mcf0_service::net::proto::encode_line;
 use mcf0_service::{
-    serve, AcceptBackend, DurableConfig, DurableSketchService, ReferenceService, Request, Response,
-    ServerConfig, ServiceCommand, SessionSpec, SketchKind, SketchService, TenantDirectory,
-    TenantQuota, WireError,
+    serve, DurableConfig, DurableSketchService, ReferenceService, Request, Response, ServerConfig,
+    ServiceCommand, SessionSpec, SketchKind, SketchService, TenantDirectory, TenantQuota,
+    WireError,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -55,13 +55,6 @@ fn directory() -> TenantDirectory {
     directory
 }
 
-fn config(backend: AcceptBackend) -> ServerConfig {
-    ServerConfig {
-        backend,
-        ..ServerConfig::default()
-    }
-}
-
 fn request(id: u64, command: ServiceCommand) -> Request {
     Request {
         id,
@@ -94,7 +87,7 @@ fn expected_line(
 /// server's write-backs overrun the socket buffers mid-response, so the
 /// flush must park on `WouldBlock` and resume at the exact byte offset —
 /// every reply line still byte-identical to the reference interpreter.
-fn slow_reader_gets_byte_identical_pipelined_responses(backend: AcceptBackend) {
+fn slow_reader_gets_byte_identical_pipelined_responses() {
     const SAVES: usize = 200;
     let spec = SessionSpec::new(SketchKind::Minimum, 32, 256, 7, 11);
     let mut commands = vec![
@@ -118,7 +111,7 @@ fn slow_reader_gets_byte_identical_pipelined_responses(backend: AcceptBackend) {
         "127.0.0.1:0",
         SketchService::new(2),
         directory(),
-        config(backend),
+        ServerConfig::default(),
     )
     .unwrap();
     let writer = TcpStream::connect(handle.local_addr()).unwrap();
@@ -154,19 +147,11 @@ fn slow_reader_gets_byte_identical_pipelined_responses(backend: AcceptBackend) {
     handle.shutdown();
 }
 
+// A module keeps the test id (`slow_reader::evented`) stable.
 mod slow_reader {
-    use super::*;
-    #[test]
-    fn threaded() {
-        slow_reader_gets_byte_identical_pipelined_responses(AcceptBackend::Threaded);
-    }
     #[test]
     fn evented() {
-        slow_reader_gets_byte_identical_pipelined_responses(AcceptBackend::Evented);
-    }
-    #[test]
-    fn evented_poll_fallback() {
-        slow_reader_gets_byte_identical_pipelined_responses(AcceptBackend::EventedPollFallback);
+        super::slow_reader_gets_byte_identical_pipelined_responses();
     }
 }
 
@@ -183,7 +168,7 @@ fn evented_sustains_256_idle_connections() {
         "127.0.0.1:0",
         SketchService::new(1),
         directory(),
-        config(AcceptBackend::Evented),
+        ServerConfig::default(),
     )
     .unwrap();
     let mut conns = Vec::new();
@@ -257,13 +242,7 @@ fn durable_backed_server_recovers_after_kill_mid_trace() {
     // Phase 1: a durable-backed evented server takes the opening trace…
     let (durable, _report) =
         DurableSketchService::open(&store.0, 2, DurableConfig::default()).unwrap();
-    let handle = serve(
-        "127.0.0.1:0",
-        durable,
-        directory(),
-        config(AcceptBackend::Evented),
-    )
-    .unwrap();
+    let handle = serve("127.0.0.1:0", durable, directory(), ServerConfig::default()).unwrap();
     let mut client = Client::connect(&handle);
     for (i, command) in phase1.iter().enumerate() {
         let got = client.round_trip_raw(&request(i as u64, command.clone()));
@@ -289,7 +268,7 @@ fn durable_backed_server_recovers_after_kill_mid_trace() {
         "127.0.0.1:0",
         recovered,
         directory(),
-        config(AcceptBackend::Evented),
+        ServerConfig::default(),
     )
     .unwrap();
     let mut client = Client::connect(&handle);

@@ -12,17 +12,17 @@
 //! connection), and a hostile oversized line is answered with
 //! `frame_too_large` while the connection stays usable.
 //!
-//! The second act is the readiness-driven backend (DESIGN.md §11): an
-//! explicitly `AcceptBackend::Evented` server takes 64 concurrent
-//! pipelining clients feeding one shared session through the epoll event
-//! loop, and the merged estimate still matches a single-client run —
-//! interleaving is routing, never semantics.
+//! The second act is the concurrency the event loop handles (DESIGN.md
+//! §11): a default server takes 64 concurrent pipelining clients feeding
+//! one shared session through the epoll event loop, and the merged
+//! estimate still matches a single-client run — interleaving is routing,
+//! never semantics.
 
 use mcf0::hashing::Xoshiro256StarStar;
 use mcf0::service::net::proto::encode_line;
 use mcf0::service::{
-    serve, AcceptBackend, CommandReply, Request, Response, ServerConfig, ServiceCommand,
-    SessionSpec, SketchKind, SketchService, TenantDirectory, TenantQuota,
+    serve, CommandReply, Request, Response, ServerConfig, ServiceCommand, SessionSpec, SketchKind,
+    SketchService, TenantDirectory, TenantQuota,
 };
 use mcf0::streaming::workloads::planted_f0_stream;
 use std::io::{BufRead, BufReader, Write};
@@ -180,10 +180,7 @@ fn main() {
         "127.0.0.1:0",
         SketchService::new(4),
         directory,
-        ServerConfig {
-            backend: AcceptBackend::Evented,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
     let addr = handle.local_addr();

@@ -33,7 +33,7 @@ pub mod rng;
 pub mod sparse;
 pub mod swise;
 
-pub use linear::{LinearHash, ToeplitzHash, XorHash};
+pub use linear::{pack192, unpack192, LinearHash, Packed192, ToeplitzHash, XorHash};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use sparse::{RowDensity, SparseXorHash};
 pub use swise::{SWiseHash, SWisePoint};

@@ -10,6 +10,7 @@
 
 use crate::rng::Xoshiro256StarStar;
 use mcf0_gf2::{AffineSubspace, BitMatrix, BitVec};
+use std::sync::Arc;
 
 /// Common interface of the affine (2-wise independent) hash families.
 pub trait LinearHash {
@@ -110,19 +111,62 @@ pub trait LinearHash {
     }
 }
 
+/// A hash value of at most 192 bits in three words: MSB-first
+/// inside each word and the unused tail bits zero — the layout of
+/// [`BitVec::words`], padded with zero words. With that layout the derived
+/// `Ord` on the array is exactly `BitVec`'s lexicographic order.
+pub type Packed192 = [u64; 3];
+
+/// Widest output [`ToeplitzHash::eval_u64`] packs (`m ≤ 192`, i.e. the
+/// Minimum sketch's `3n` for every `n ≤ 64`).
+const PACKED_BITS: usize = 192;
+
+/// Input bits per lookup window of the packed evaluation: `⌈n/4⌉` windows
+/// of 16 entries each (3 KiB per hash at `n = 32`). Byte windows would
+/// halve the lookups but need 16× the table.
+const WINDOW_BITS: usize = 4;
+const WINDOW_ENTRIES: usize = 1 << WINDOW_BITS;
+
+/// `v` in the [`Packed192`] layout (requires `v.len() ≤ 192`).
+pub fn pack192(v: &BitVec) -> Packed192 {
+    assert!(v.len() <= PACKED_BITS, "at most {PACKED_BITS} bits pack");
+    let mut out = [0u64; 3];
+    out[..v.words().len()].copy_from_slice(v.words());
+    out
+}
+
+/// Inverse of [`pack192`]: the first `len` bits of `p` as a [`BitVec`].
+pub fn unpack192(p: &Packed192, len: usize) -> BitVec {
+    assert!(len <= PACKED_BITS, "at most {PACKED_BITS} bits pack");
+    BitVec::from_words(len, &p[..len.div_ceil(64)])
+}
+
+fn xor192(a: &Packed192, b: &Packed192) -> Packed192 {
+    [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2]]
+}
+
 /// A hash drawn from `H_Toeplitz(n, m)`: `A` is a random Toeplitz matrix
 /// (constant along diagonals), `b` a random vector. The randomness is the
 /// `n + m − 1` diagonal bits plus `b`, i.e. Θ(n + m) bits as in the paper.
 ///
-/// Three expansions of the matrix are cached at sampling time so that the
-/// per-item streaming hot paths never re-materialise anything: the rows (for
-/// dot-product evaluation), the *columns* (so `h(x)` is the word-wise XOR of
-/// `popcount(x)` columns into `b` — the fast path of the Minimum sketch and
-/// of `image_of_cube`), and, when `n ≤ 64`, each row as a raw `u64` mask (so
-/// the Bucketing cell test `h_{m'}(x) = 0^{m'}` is `m'` AND+popcount word
-/// operations on the item itself, with no `BitVec` materialisation).
+/// Every expansion of the draw is built once, at sampling time, and shared
+/// by all clones behind one `Arc` (a clone bumps a refcount; the sketches
+/// clone their hashes for every ring slot, shard extract, merge and
+/// snapshot). The expansions are: the rows (for dot-product evaluation);
+/// the *columns* (so `h(x)` is the word-wise XOR of `popcount(x)` columns
+/// into `b` — the fast path of [`LinearHash::eval`] and `image_of_cube`);
+/// when `n ≤ 64`, each row as a raw `u64` mask (so the Bucketing cell test
+/// `h_{m'}(x) = 0^{m'}` is `m'` AND+popcount word operations on the item
+/// itself); and, when also `m ≤ 192`, 4-bit window tables over the packed
+/// columns, so the Minimum sketch's [`ToeplitzHash::eval_u64`] is `⌈n/4⌉`
+/// table lookups per output word into a [`Packed192`] with no allocation.
 #[derive(Clone, Debug)]
 pub struct ToeplitzHash {
+    draw: Arc<ToeplitzDraw>,
+}
+
+#[derive(Debug)]
+struct ToeplitzDraw {
     n: usize,
     m: usize,
     /// `diag[k]` is the matrix entry `A[i][j]` for all `i − j = k − (n − 1)`.
@@ -134,6 +178,12 @@ pub struct ToeplitzHash {
     /// Row `i` of `A` packed into a `u64` (MSB-first, matching
     /// `BitVec::from_u64`); present iff `n ≤ 64`.
     row_masks: Option<Vec<u64>>,
+    /// Window `w`'s entry `j` is the XOR of the columns selected by the
+    /// item bits `4w..4w+4` set in `j`, window 0 with `b` folded in. Word
+    /// `k` of that entry sits at `k·len/3 + w·16 + j`: one plane per
+    /// output word, so the first word alone is a pass over a third of the
+    /// table. Present iff `n ≤ 64` and `m ≤ 192`.
+    windows: Option<Vec<u64>>,
 }
 
 impl ToeplitzHash {
@@ -147,9 +197,9 @@ impl ToeplitzHash {
 
     /// Rebuilds the hash from its randomness `(diag, b)` — the lossless
     /// import matching [`ToeplitzHash::diagonal`] / [`ToeplitzHash::offset`],
-    /// used by the sketch-service snapshot restore path. The cached row,
-    /// column and packed-mask expansions are rederived, so a round trip is
-    /// bit-identical to the originally sampled hash.
+    /// used by the sketch-service snapshot restore path. The cached
+    /// expansions are rederived, so a round trip is bit-identical to the
+    /// originally sampled hash.
     pub fn from_parts(n: usize, m: usize, diag: BitVec, b: BitVec) -> Self {
         assert!(n > 0 && m > 0);
         assert_eq!(diag.len(), n + m - 1, "diagonal width mismatch");
@@ -166,7 +216,7 @@ impl ToeplitzHash {
                 row
             })
             .collect();
-        let cols = (0..n)
+        let cols: Vec<BitVec> = (0..n)
             .map(|j| {
                 let mut col = BitVec::zeros(m);
                 for i in 0..m {
@@ -178,51 +228,65 @@ impl ToeplitzHash {
             })
             .collect();
         let row_masks = (n <= 64).then(|| rows.iter().map(BitVec::to_u64).collect());
+        let windows = (n <= 64 && m <= PACKED_BITS).then(|| window_table(&cols, &b));
         ToeplitzHash {
-            n,
-            m,
-            diag,
-            b,
-            rows,
-            cols,
-            row_masks,
+            draw: Arc::new(ToeplitzDraw {
+                n,
+                m,
+                diag,
+                b,
+                rows,
+                cols,
+                row_masks,
+                windows,
+            }),
         }
     }
 
     /// Number of random bits this representation stores (Θ(n + m)); the
-    /// cached row/column expansions are derived data, not randomness.
+    /// cached expansions are derived data, not randomness.
     pub fn representation_bits(&self) -> usize {
-        self.diag.len() + self.b.len()
+        self.draw.diag.len() + self.draw.b.len()
     }
 
     /// The diagonal bits of `A` (the matrix half of the hash's randomness).
     pub fn diagonal(&self) -> &BitVec {
-        &self.diag
+        &self.draw.diag
     }
 
     /// The offset vector `b` (the other half of the randomness).
     pub fn offset(&self) -> &BitVec {
-        &self.b
+        &self.draw.b
     }
 
     /// Evaluates `h(x)` for an item given as the low-`n`-bit integer `x`
-    /// (the streaming-sketch item encoding; requires `n ≤ 64`). Word-wise:
-    /// the result is `b` XOR the columns selected by the set bits of `x`.
-    pub fn eval_u64(&self, x: u64) -> BitVec {
-        assert!(
-            self.n <= 64,
-            "eval_u64 requires an input width of at most 64"
+    /// (the streaming-sketch item encoding), packed as a [`Packed192`]:
+    /// per 4 input bits, one table lookup and XOR for each output word.
+    /// Requires `n ≤ 64` and `m ≤ 192`. Bits of `x` at or above `n` are
+    /// ignored, so callers that take untrusted items check the range first.
+    pub fn eval_u64(&self, x: u64) -> Packed192 {
+        let planes = self.window_planes(x);
+        let len = planes.len() / 3;
+        [0, 1, 2].map(|k| eval_plane(&planes[k * len..(k + 1) * len], x))
+    }
+
+    /// The first word of [`ToeplitzHash::eval_u64`] — its 64 most
+    /// significant output bits — for a third of the lookups. The Minimum
+    /// sketch rejects most items on this word alone.
+    pub fn eval_u64_first_word(&self, x: u64) -> u64 {
+        let planes = self.window_planes(x);
+        eval_plane(&planes[..planes.len() / 3], x)
+    }
+
+    fn window_planes(&self, x: u64) -> &[u64] {
+        debug_assert!(
+            self.draw.n == 64 || x >> self.draw.n == 0,
+            "item out of range"
         );
-        debug_assert!(self.n == 64 || x < (1u64 << self.n), "item out of range");
-        let mut out = self.b.clone();
-        let mut rest = x;
-        while rest != 0 {
-            let p = rest.trailing_zeros() as usize;
-            // u64 bit p is MSB-first index n − 1 − p (see BitVec::from_u64).
-            out.xor_assign(&self.cols[self.n - 1 - p]);
-            rest &= rest - 1;
-        }
-        out
+        self.draw
+            .windows
+            .as_deref()
+            .expect("eval_u64 requires n ≤ 64 and m ≤ 192")
     }
 
     /// `h_{m'}(x) = 0^{m'}` for a `u64`-encoded item, via the packed row
@@ -230,15 +294,49 @@ impl ToeplitzHash {
     /// (requires `n ≤ 64`).
     pub fn prefix_is_zero_u64(&self, x: u64, m_prime: usize) -> bool {
         let masks = self
+            .draw
             .row_masks
             .as_ref()
             .expect("prefix_is_zero_u64 requires an input width of at most 64");
-        debug_assert!(m_prime <= self.m);
+        debug_assert!(m_prime <= self.draw.m);
         masks[..m_prime]
             .iter()
             .enumerate()
-            .all(|(i, &mask)| ((mask & x).count_ones() & 1 == 1) == self.b.get(i))
+            .all(|(i, &mask)| ((mask & x).count_ones() & 1 == 1) == self.draw.b.get(i))
     }
+}
+
+/// One output word of the packed evaluation: a lookup per 4-bit window of
+/// `x` into that word's plane of the window table.
+fn eval_plane(plane: &[u64], x: u64) -> u64 {
+    plane
+        .chunks_exact(WINDOW_ENTRIES)
+        .enumerate()
+        .fold(0, |acc, (w, table)| {
+            acc ^ table[(x >> (WINDOW_BITS * w)) as usize & (WINDOW_ENTRIES - 1)]
+        })
+}
+
+/// The 4-bit window tables of [`ToeplitzDraw::windows`]: item bit `p` (of
+/// the `u64` encoding) is `BitVec` index `n − 1 − p` and so selects column
+/// `cols[n − 1 − p]`. Each entry is one XOR of an earlier entry and one
+/// packed column; the entries are then split into word planes.
+fn window_table(cols: &[BitVec], b: &BitVec) -> Vec<u64> {
+    let n = cols.len();
+    let by_item_bit: Vec<Packed192> = cols.iter().rev().map(pack192).collect();
+    let mut table = Vec::with_capacity(n.div_ceil(WINDOW_BITS) * WINDOW_ENTRIES);
+    for w in 0..n.div_ceil(WINDOW_BITS) {
+        table.push(if w == 0 { pack192(b) } else { [0; 3] });
+        for k in 1..WINDOW_ENTRIES {
+            let rest = table[w * WINDOW_ENTRIES + (k & (k - 1))];
+            let bit = WINDOW_BITS * w + k.trailing_zeros() as usize;
+            let col = by_item_bit.get(bit).copied().unwrap_or([0; 3]);
+            table.push(xor192(&rest, &col));
+        }
+    }
+    (0..3)
+        .flat_map(|k| table.iter().map(move |entry| entry[k]))
+        .collect()
 }
 
 impl PartialEq for ToeplitzHash {
@@ -248,7 +346,9 @@ impl PartialEq for ToeplitzHash {
     /// mergeable sketches use — distinct-union merge semantics only make
     /// sense between sketches sharing their hash draws.
     fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.m == other.m && self.diag == other.diag && self.b == other.b
+        let (a, b) = (&*self.draw, &*other.draw);
+        Arc::ptr_eq(&self.draw, &other.draw)
+            || (a.n == b.n && a.m == b.m && a.diag == b.diag && a.b == b.b)
     }
 }
 
@@ -256,36 +356,36 @@ impl Eq for ToeplitzHash {}
 
 impl LinearHash for ToeplitzHash {
     fn input_bits(&self) -> usize {
-        self.n
+        self.draw.n
     }
 
     fn output_bits(&self) -> usize {
-        self.m
+        self.draw.m
     }
 
     fn matrix_row(&self, i: usize) -> BitVec {
-        self.rows[i].clone()
+        self.draw.rows[i].clone()
     }
 
     fn offset_bit(&self, i: usize) -> bool {
-        self.b.get(i)
+        self.draw.b.get(i)
     }
 
     fn eval(&self, x: &BitVec) -> BitVec {
-        assert_eq!(x.len(), self.n, "input width mismatch");
+        assert_eq!(x.len(), self.draw.n, "input width mismatch");
         // Column-wise: XOR the columns picked out by the set bits of `x`
         // into `b` — word operations instead of `m` row dot products.
-        let mut out = self.b.clone();
+        let mut out = self.draw.b.clone();
         for j in x.iter_ones() {
-            out.xor_assign(&self.cols[j]);
+            out.xor_assign(&self.draw.cols[j]);
         }
         out
     }
 
     fn eval_prefix(&self, x: &BitVec, m_prime: usize) -> BitVec {
-        assert!(m_prime <= self.m);
-        let mut out = self.b.prefix(m_prime);
-        for (i, row) in self.rows[..m_prime].iter().enumerate() {
+        assert!(m_prime <= self.draw.m);
+        let mut out = self.draw.b.prefix(m_prime);
+        for (i, row) in self.draw.rows[..m_prime].iter().enumerate() {
             if row.dot(x) {
                 out.flip(i);
             }
@@ -294,20 +394,20 @@ impl LinearHash for ToeplitzHash {
     }
 
     fn prefix_is_zero(&self, x: &BitVec, m_prime: usize) -> bool {
-        self.rows[..m_prime]
+        self.draw.rows[..m_prime]
             .iter()
             .enumerate()
-            .all(|(i, row)| row.dot(x) == self.b.get(i))
+            .all(|(i, row)| row.dot(x) == self.draw.b.get(i))
     }
 
     fn image_of_cube(&self, fixed: &[(usize, bool)]) -> AffineSubspace {
         // The generators are exactly the cached columns of the free
         // variables; the default trait implementation would rebuild each one
         // bit by bit from `m` row clones.
-        let mut is_fixed = vec![false; self.n];
-        let mut x0 = BitVec::zeros(self.n);
+        let mut is_fixed = vec![false; self.draw.n];
+        let mut x0 = BitVec::zeros(self.draw.n);
         for &(var, value) in fixed {
-            assert!(var < self.n, "fixed variable index out of range");
+            assert!(var < self.draw.n, "fixed variable index out of range");
             is_fixed[var] = true;
             x0.set(var, value);
         }
@@ -316,7 +416,7 @@ impl LinearHash for ToeplitzHash {
             .iter()
             .enumerate()
             .filter(|&(_, &f)| !f)
-            .map(|(j, _)| self.cols[j].clone())
+            .map(|(j, _)| self.draw.cols[j].clone())
             .collect();
         AffineSubspace::new(offset, generators)
     }
@@ -442,7 +542,14 @@ mod tests {
     #[test]
     fn u64_fast_paths_match_bitvec_paths() {
         let mut rng = rng();
-        for (n, m) in [(1usize, 3usize), (12, 8), (24, 72), (32, 32), (64, 64)] {
+        for (n, m) in [
+            (1usize, 3usize),
+            (12, 8),
+            (24, 72),
+            (32, 32),
+            (64, 64),
+            (64, 192),
+        ] {
             let h = ToeplitzHash::sample(&mut rng, n, m);
             for _ in 0..30 {
                 let x = if n == 64 {
@@ -451,7 +558,7 @@ mod tests {
                     rng.next_u64() & ((1u64 << n) - 1)
                 };
                 let bits = BitVec::from_u64(x, n);
-                assert_eq!(h.eval_u64(x), h.eval(&bits), "n={n} m={m}");
+                assert_eq!(h.eval_u64(x), pack192(&h.eval(&bits)), "n={n} m={m}");
                 for level in [0usize, 1, m / 2, m] {
                     assert_eq!(
                         h.prefix_is_zero_u64(x, level),
@@ -461,6 +568,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn clones_share_one_expansion() {
+        let mut rng = rng();
+        let h = ToeplitzHash::sample(&mut rng, 32, 96);
+        let copy = h.clone();
+        assert!(Arc::ptr_eq(&h.draw, &copy.draw));
+        let rebuilt = ToeplitzHash::from_parts(32, 96, h.diagonal().clone(), h.offset().clone());
+        assert!(!Arc::ptr_eq(&h.draw, &rebuilt.draw));
+        assert_eq!(h, rebuilt);
+        assert_eq!(h.eval_u64(0xDEAD_BEEF), rebuilt.eval_u64(0xDEAD_BEEF));
     }
 
     #[test]

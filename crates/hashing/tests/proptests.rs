@@ -6,7 +6,10 @@
 use proptest::prelude::*;
 
 use mcf0_gf2::BitVec;
-use mcf0_hashing::{LinearHash, SWiseHash, SplitMix64, ToeplitzHash, XorHash, Xoshiro256StarStar};
+use mcf0_hashing::{
+    pack192, unpack192, LinearHash, SWiseHash, SplitMix64, ToeplitzHash, XorHash,
+    Xoshiro256StarStar,
+};
 
 fn rng_from(seed: u64) -> Xoshiro256StarStar {
     Xoshiro256StarStar::seed_from_u64(seed)
@@ -98,6 +101,45 @@ proptest! {
                 prop_assert!(image.contains(&h.eval(&x)));
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The packed Toeplitz evaluation of the Minimum sketch (m = 3n ≤ 192)
+// ---------------------------------------------------------------------------
+
+/// `eval_u64` must equal the `BitVec` evaluation bit for bit (and
+/// `eval_u64_first_word` its first word), and the packed arrays must order
+/// exactly like the bit vectors they pack.
+fn check_packed_eval(seed: u64, n: usize, x_raw: u64, y_raw: u64) -> Result<(), TestCaseError> {
+    let mut rng = rng_from(seed);
+    let h = ToeplitzHash::sample(&mut rng, n, 3 * n);
+    let (x, y) = (x_raw & mask(n), y_raw & mask(n));
+    let hx = h.eval(&BitVec::from_u64(x, n));
+    let hy = h.eval(&BitVec::from_u64(y, n));
+    prop_assert_eq!(h.eval_u64(x), pack192(&hx));
+    prop_assert_eq!(h.eval_u64_first_word(x), h.eval_u64(x)[0]);
+    prop_assert_eq!(unpack192(&h.eval_u64(y), 3 * n), hy.clone());
+    prop_assert_eq!(h.eval_u64(x).cmp(&h.eval_u64(y)), hx.cmp(&hy));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn toeplitz_packed_eval_matches_bitvec_eval(seed in any::<u64>(), n in 1usize..=64, x_raw in any::<u64>(), y_raw in any::<u64>()) {
+        check_packed_eval(seed, n, x_raw, y_raw)?;
+    }
+
+    #[test]
+    fn toeplitz_packed_eval_at_word_boundaries(seed in any::<u64>(), pick in 0usize..9, x_raw in any::<u64>(), y_raw in any::<u64>()) {
+        // 3n crosses the first word boundary between n = 21 (63 bits) and
+        // n = 22 (66 bits), the second between 42 (126) and 43 (129), and
+        // fills all three words at 64; 1, 3, 30 and 61 leave a partial
+        // last 4-bit window.
+        let n = [1, 3, 21, 22, 30, 42, 43, 61, 64][pick];
+        check_packed_eval(seed, n, x_raw, y_raw)?;
     }
 }
 

@@ -23,6 +23,18 @@ pub enum ServiceError {
         /// What the session's kind ingests.
         expected: &'static str,
     },
+    /// An `ingest` item lies outside the session's universe
+    /// `{0,1}^universe_bits`. Checked on the control plane before routing,
+    /// so the whole batch is rejected and no shard worker sees it; a
+    /// durable store logs the command and replays the same rejection.
+    ItemOutOfUniverse {
+        /// Session the ingest addressed.
+        session: String,
+        /// The first out-of-range item of the batch.
+        item: u64,
+        /// The session's universe width `n`.
+        universe_bits: usize,
+    },
     /// The two sessions of a merge were not created from identical
     /// specifications (kind, universe, accuracy parameters **and** seed):
     /// distinct-union merge semantics require shared hash draws.
@@ -149,6 +161,17 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::WrongItemType { session, expected } => {
                 write!(f, "session `{session}` ingests {expected}")
+            }
+            ServiceError::ItemOutOfUniverse {
+                session,
+                item,
+                universe_bits,
+            } => {
+                write!(
+                    f,
+                    "session `{session}` item {item} lies outside its \
+                     {universe_bits}-bit universe"
+                )
             }
             ServiceError::MergeIncompatible { dst, src } => {
                 write!(

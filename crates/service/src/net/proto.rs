@@ -64,6 +64,8 @@ pub enum ErrorCode {
     DuplicateSession,
     /// [`ServiceError::WrongItemType`].
     WrongItemType,
+    /// [`ServiceError::ItemOutOfUniverse`].
+    ItemOutOfUniverse,
     /// [`ServiceError::MergeIncompatible`].
     MergeIncompatible,
     /// [`ServiceError::MergeSelf`].
@@ -105,6 +107,7 @@ impl ErrorCode {
             ErrorCode::UnknownSession => "unknown_session",
             ErrorCode::DuplicateSession => "duplicate_session",
             ErrorCode::WrongItemType => "wrong_item_type",
+            ErrorCode::ItemOutOfUniverse => "item_out_of_universe",
             ErrorCode::MergeIncompatible => "merge_incompatible",
             ErrorCode::MergeSelf => "merge_self",
             ErrorCode::InvalidWindow => "invalid_window",
@@ -133,6 +136,7 @@ impl ErrorCode {
             "unknown_session" => ErrorCode::UnknownSession,
             "duplicate_session" => ErrorCode::DuplicateSession,
             "wrong_item_type" => ErrorCode::WrongItemType,
+            "item_out_of_universe" => ErrorCode::ItemOutOfUniverse,
             "merge_incompatible" => ErrorCode::MergeIncompatible,
             "merge_self" => ErrorCode::MergeSelf,
             "invalid_window" => ErrorCode::InvalidWindow,
@@ -185,6 +189,7 @@ impl WireError {
             ServiceError::UnknownSession(_) => ErrorCode::UnknownSession,
             ServiceError::DuplicateSession(_) => ErrorCode::DuplicateSession,
             ServiceError::WrongItemType { .. } => ErrorCode::WrongItemType,
+            ServiceError::ItemOutOfUniverse { .. } => ErrorCode::ItemOutOfUniverse,
             ServiceError::MergeIncompatible { .. } => ErrorCode::MergeIncompatible,
             ServiceError::MergeSelf(_) => ErrorCode::MergeSelf,
             ServiceError::InvalidWindow { .. } => ErrorCode::InvalidWindow,

@@ -272,12 +272,13 @@ pub(super) fn handle_frame<S: ApplyService>(bytes: &[u8], shared: &Shared<S>) ->
             body: Err(err),
         };
     }
-    let scoped = TenantDirectory::scope_command(&tenant, &request.command);
+    // The command moves into its scoped form (no copy of an `Ingest`'s
+    // items under the lock); settlement reads the scoped names.
+    let scoped = TenantDirectory::into_scoped(&tenant, request.command);
     let seq = core.seq;
     core.seq += 1;
     let outcome = core.service.apply(&scoped);
-    core.tenants
-        .settle(&tenant, &request.command, outcome.is_ok());
+    core.tenants.settle(&tenant, &scoped, outcome.is_ok());
     Response {
         id,
         seq: Some(seq),

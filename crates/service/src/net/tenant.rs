@@ -128,48 +128,33 @@ impl TenantDirectory {
     /// namespace. Pure and deterministic — the differential harness applies
     /// the same rewrite before replaying against the reference interpreter.
     pub fn scope_command(tenant: &str, command: &ServiceCommand) -> ServiceCommand {
-        let scope = |name: &str| Self::scoped_name(tenant, name);
-        match command {
-            ServiceCommand::Create { name, spec } => ServiceCommand::Create {
-                name: scope(name),
-                spec: *spec,
-            },
-            ServiceCommand::Ingest { name, items } => ServiceCommand::Ingest {
-                name: scope(name),
-                items: items.clone(),
-            },
-            ServiceCommand::IngestStructured { name, sets } => ServiceCommand::IngestStructured {
-                name: scope(name),
-                sets: sets.clone(),
-            },
-            ServiceCommand::Merge { dst, src } => ServiceCommand::Merge {
-                dst: scope(dst),
-                src: scope(src),
-            },
-            ServiceCommand::Advance { name, epoch } => ServiceCommand::Advance {
-                name: scope(name),
-                epoch: *epoch,
-            },
-            ServiceCommand::Estimate { name } => ServiceCommand::Estimate { name: scope(name) },
-            ServiceCommand::EstimateWindow { name } => {
-                ServiceCommand::EstimateWindow { name: scope(name) }
+        Self::into_scoped(tenant, command.clone())
+    }
+
+    /// [`TenantDirectory::scope_command`] on an owned command: the names are
+    /// rewritten in place and everything else — an `Ingest`'s item vector
+    /// included — moves along uncopied. The server's per-request path.
+    pub fn into_scoped(tenant: &str, mut command: ServiceCommand) -> ServiceCommand {
+        let scope = |name: &mut String| *name = Self::scoped_name(tenant, name);
+        match &mut command {
+            ServiceCommand::Create { name, .. }
+            | ServiceCommand::Ingest { name, .. }
+            | ServiceCommand::IngestStructured { name, .. }
+            | ServiceCommand::Advance { name, .. }
+            | ServiceCommand::Estimate { name }
+            | ServiceCommand::EstimateWindow { name }
+            | ServiceCommand::EstimateWithR { name, .. }
+            | ServiceCommand::SpaceBits { name }
+            | ServiceCommand::Save { name }
+            | ServiceCommand::Drop { name } => scope(name),
+            ServiceCommand::Merge { dst: a, src: b }
+            | ServiceCommand::IntersectionEstimate { a, b }
+            | ServiceCommand::JaccardEstimate { a, b } => {
+                scope(a);
+                scope(b);
             }
-            ServiceCommand::IntersectionEstimate { a, b } => ServiceCommand::IntersectionEstimate {
-                a: scope(a),
-                b: scope(b),
-            },
-            ServiceCommand::JaccardEstimate { a, b } => ServiceCommand::JaccardEstimate {
-                a: scope(a),
-                b: scope(b),
-            },
-            ServiceCommand::EstimateWithR { name, r } => ServiceCommand::EstimateWithR {
-                name: scope(name),
-                r: *r,
-            },
-            ServiceCommand::SpaceBits { name } => ServiceCommand::SpaceBits { name: scope(name) },
-            ServiceCommand::Save { name } => ServiceCommand::Save { name: scope(name) },
-            ServiceCommand::Drop { name } => ServiceCommand::Drop { name: scope(name) },
         }
+        command
     }
 
     /// The deterministic nominal space charge of a command (`Some` only for
@@ -229,7 +214,9 @@ impl TenantDirectory {
 
     /// Post-apply accounting: a successful `create` records its space
     /// charge, a successful `drop` refunds it. Failed commands charge
-    /// nothing beyond the admission request count.
+    /// nothing beyond the admission request count. `command` is the command
+    /// as applied — scoped or not, the charge is keyed by its session name,
+    /// so a `create` and its `drop` only need to be settled alike.
     pub fn settle(&mut self, tenant: &str, command: &ServiceCommand, succeeded: bool) {
         if !succeeded {
             return;

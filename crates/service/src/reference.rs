@@ -76,6 +76,7 @@ impl ReferenceService {
                         expected: "structured (DNF) set items",
                     });
                 }
+                entry.spec.check_items(name, items)?;
                 entry.sketch.ingest(name, items)?;
                 entry.ledger.batches += 1;
                 entry.ledger.items += items.len() as u64;

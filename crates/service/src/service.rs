@@ -168,6 +168,7 @@ impl SketchService {
                 expected: "structured (DNF) set items",
             });
         }
+        entry.spec.check_items(name, items)?;
         let shards = self.shards.len();
         let mut routed: Vec<Vec<u64>> = vec![Vec::new(); shards];
         for &item in items {

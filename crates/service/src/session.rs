@@ -1,5 +1,6 @@
 //! Session specifications and command-accounting ledgers.
 
+use crate::error::ServiceError;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Which sketch a session runs.
@@ -102,6 +103,26 @@ impl SessionSpec {
     pub fn with_window(mut self, window: usize) -> Self {
         self.window = Some(window);
         self
+    }
+
+    /// Rejects an `ingest` batch for session `name` whose items do not all
+    /// lie in the universe `{0,1}^universe_bits`, naming the first
+    /// offender. The sketches assert on such items, so both interpreters
+    /// run this before any sketch (or shard) sees the batch.
+    pub fn check_items(&self, name: &str, items: &[u64]) -> Result<(), ServiceError> {
+        let outside = |x: u64| {
+            x.checked_shr(self.universe_bits.min(64) as u32)
+                .unwrap_or(0)
+                != 0
+        };
+        match items.iter().copied().find(|&x| outside(x)) {
+            Some(item) => Err(ServiceError::ItemOutOfUniverse {
+                session: name.to_string(),
+                item,
+                universe_bits: self.universe_bits,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// The streaming-crate configuration this spec describes (sequential:

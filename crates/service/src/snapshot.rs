@@ -371,14 +371,16 @@ fn build_sketch(snap: &SketchSnap, spec: &SessionSpec) -> Result<TenantSketch, S
             for row in rows {
                 let hash = row.hash.build()?;
                 check_hash_dims(&hash, spec.universe_bits, 3 * spec.universe_bits)?;
-                let mut smallest = BTreeSet::new();
+                let mut smallest = Vec::with_capacity(row.smallest.len());
                 for v in &row.smallest {
                     if v.len != 3 * spec.universe_bits {
                         return Err(ServiceError::Snapshot("reservoir value width".into()));
                     }
-                    smallest.insert(v.build()?);
+                    smallest.push(v.build()?);
                 }
-                if smallest.len() != row.smallest.len() || smallest.len() > spec.thresh {
+                // A reservoir is a set: any order is accepted, repeats are not.
+                smallest.sort();
+                if !smallest.windows(2).all(|w| w[0] < w[1]) || smallest.len() > spec.thresh {
                     return Err(ServiceError::Snapshot("malformed reservoir".into()));
                 }
                 parts.push((hash, smallest));

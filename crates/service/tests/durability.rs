@@ -16,7 +16,7 @@
 use mcf0_bench::service_support::random_trace;
 use mcf0_hashing::Xoshiro256StarStar;
 use mcf0_service::{
-    CommandReply, DurableConfig, DurableSketchService, ReferenceService, ServiceCommand,
+    CommandReply, DurableConfig, DurableSketchService, Health, ReferenceService, ServiceCommand,
     ServiceError, SessionSpec, SketchKind, SketchService,
 };
 use std::fs;
@@ -202,6 +202,67 @@ fn recovered_stores_continue_identically() {
         }
     }
     assert_state_matches(&durable, &mut reference);
+}
+
+/// An `Ingest` item outside the session's universe is logged, rejected with
+/// the typed `ItemOutOfUniverse`, and rejected again on replay: the store
+/// stays `Healthy`, and a reopen answers exactly like the reference. (It
+/// used to reach the sketch's range assert inside a shard worker, and the
+/// logged command replayed that panic on every later `open`.)
+#[test]
+fn out_of_universe_ingest_is_rejected_and_replays_convergently() {
+    let store = TempDir::new("universe");
+    let trace = [
+        ServiceCommand::Create {
+            name: "s".into(),
+            spec: default_spec(),
+        },
+        ServiceCommand::Ingest {
+            name: "s".into(),
+            items: (0..300).collect(),
+        },
+        ServiceCommand::Ingest {
+            name: "s".into(),
+            items: vec![5, 1 << 40, 7],
+        },
+        ServiceCommand::Ingest {
+            name: "s".into(),
+            items: (300..600).collect(),
+        },
+    ];
+    let rejection = Err(ServiceError::ItemOutOfUniverse {
+        session: "s".into(),
+        item: 1 << 40,
+        universe_bits: BITS,
+    });
+    let mut reference = ReferenceService::new();
+    {
+        let (mut durable, _) =
+            DurableSketchService::open(store.path(), 2, DurableConfig::default()).unwrap();
+        for cmd in &trace {
+            assert_eq!(durable.apply(cmd), reference.apply(cmd), "{cmd:?}");
+        }
+        assert_eq!(reference.apply(&trace[2]), rejection);
+        assert_eq!(durable.apply(&trace[2]), rejection);
+        assert_eq!(*durable.health(), Health::Healthy);
+        assert_state_matches(&durable, &mut reference);
+    }
+    let (durable, report) =
+        DurableSketchService::open(store.path(), 2, DurableConfig::default()).unwrap();
+    assert!(report.truncated.is_none());
+    assert_eq!(report.replayed, trace.len() + 1);
+    assert_eq!(*durable.health(), Health::Healthy);
+    assert_state_matches(&durable, &mut reference);
+    assert_eq!(
+        durable.estimate("s").unwrap(),
+        match reference
+            .apply(&ServiceCommand::Estimate { name: "s".into() })
+            .unwrap()
+        {
+            CommandReply::Estimate(x) => x,
+            other => panic!("Estimate replied {other:?}"),
+        }
+    );
 }
 
 /// Checkpoints compact the log and bump the generation; automatic

@@ -22,8 +22,8 @@ use mcf0_bench::service_support::random_trace;
 use mcf0_service::net::proto::{encode_line, MAX_FRAME_BYTES};
 use mcf0_service::{
     serve, CommandReply, ErrorCode, ReferenceService, Request, Response, ServerConfig,
-    ServiceCommand, SessionSpec, SketchKind, SketchService, TenantDirectory, TenantQuota,
-    TenantSketch, WireError,
+    ServiceCommand, ServiceError, SessionSpec, SketchKind, SketchService, TenantDirectory,
+    TenantQuota, TenantSketch, WireError,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -489,6 +489,79 @@ fn hostile_lines_get_typed_errors_and_the_connection_stays_sane() {
     handle.shutdown();
 }
 
+/// Pinned row: an `Ingest` carrying an item outside the session's universe
+/// is the typed `item_out_of_universe` rejection — identical from the
+/// sharded service, the reference interpreter and the wire, for every
+/// `u64` sketch kind — and the session keeps serving afterwards. (Such an
+/// item used to reach the sketch's range assert and kill a shard worker.)
+fn out_of_universe_items_are_typed_errors_everywhere() {
+    let handle = start(2, &[("alpha", "tok-alpha", TenantQuota::unlimited())]);
+    let mut client = Client::connect(&handle);
+    let mut sharded = SketchService::new(2);
+    let mut reference = ReferenceService::new();
+    let mut wire_reference = ReferenceService::new();
+    let specs = [
+        SessionSpec::new(SketchKind::Minimum, BITS, 20, 3, 5),
+        SessionSpec::new(SketchKind::Minimum, BITS, 20, 3, 5).with_window(3),
+        SessionSpec::new(SketchKind::Bucketing, BITS, 20, 3, 6),
+        SessionSpec::new(SketchKind::Estimation, BITS, 20, 3, 7),
+        SessionSpec::new(SketchKind::Ams, BITS, 8, 3, 8),
+    ];
+    let mut seq = 0u64;
+    for (k, spec) in specs.into_iter().enumerate() {
+        let name = format!("s{k}");
+        let ingest = |items: Vec<u64>| ServiceCommand::Ingest {
+            name: name.clone(),
+            items,
+        };
+        let trace = [
+            ServiceCommand::Create {
+                name: name.clone(),
+                spec,
+            },
+            ingest((0..200).collect()),
+            ingest(vec![3, 1 << 40, 1 << BITS]),
+            ingest(vec![(1 << BITS) - 1, 1 << BITS]),
+            ingest((200..400).collect()),
+            ServiceCommand::Estimate { name: name.clone() },
+            ServiceCommand::Save { name: name.clone() },
+        ];
+        for (i, command) in trace.iter().enumerate() {
+            let direct = sharded.apply(command);
+            assert_eq!(direct, reference.apply(command), "{name} command {i}");
+            let expected_item = match i {
+                2 => Some(1 << 40),
+                3 => Some(1 << BITS),
+                _ => None,
+            };
+            match expected_item {
+                Some(item) => assert_eq!(
+                    direct,
+                    Err(ServiceError::ItemOutOfUniverse {
+                        session: name.clone(),
+                        item,
+                        universe_bits: BITS,
+                    })
+                ),
+                None => assert!(direct.is_ok(), "{name} command {i}: {direct:?}"),
+            }
+            let id = 1000 + seq;
+            let got = client.round_trip_raw(&Request {
+                id,
+                token: "tok-alpha".to_string(),
+                command: command.clone(),
+            });
+            let want = expected_line(&mut wire_reference, "alpha", id, seq, command);
+            assert_eq!(got, want, "{name} command {i}");
+            if expected_item.is_some() {
+                assert!(got.contains("\"code\":\"item_out_of_universe\""), "{got}");
+            }
+            seq += 1;
+        }
+    }
+    handle.shutdown();
+}
+
 /// The connection cap: connection `max_connections + 1` is refused with one
 /// typed `server_busy` line and closed, while established connections keep
 /// working.
@@ -574,6 +647,13 @@ mod hostile_input {
     #[test]
     fn evented() {
         super::hostile_lines_get_typed_errors_and_the_connection_stays_sane();
+    }
+}
+
+mod out_of_universe {
+    #[test]
+    fn evented() {
+        super::out_of_universe_items_are_typed_errors_everywhere();
     }
 }
 

@@ -20,7 +20,7 @@ use std::io::Cursor;
 const BITS: usize = 8;
 
 /// All error codes, for exhaustive string round trips.
-const ALL_CODES: [ErrorCode; 22] = [
+const ALL_CODES: [ErrorCode; 23] = [
     ErrorCode::InvalidWindow,
     ErrorCode::NotWindowed,
     ErrorCode::EpochRegressed,
@@ -36,6 +36,7 @@ const ALL_CODES: [ErrorCode; 22] = [
     ErrorCode::UnknownSession,
     ErrorCode::DuplicateSession,
     ErrorCode::WrongItemType,
+    ErrorCode::ItemOutOfUniverse,
     ErrorCode::MergeIncompatible,
     ErrorCode::MergeSelf,
     ErrorCode::BadSnapshot,

@@ -7,34 +7,72 @@
 //! otherwise the row estimates `Thresh · 2^{3n} / max(S)`. The sketch reports
 //! the median over rows. The transformation recipe applied to this strategy
 //! yields `ApproxModelCountMin` (Section 3.3 of the paper).
+//!
+//! Hash values live in the fixed-width [`Packed192`] layout (`3n ≤ 192`),
+//! whose array order is the bit-string order, and each row's reservoir is a
+//! sorted, deduplicated `Vec` of at most `Thresh` of them. Once a row has
+//! reached its `Thresh` capacity, a row update allocates nothing: the first
+//! word of the hash against the maximum's (which rejects almost every item
+//! past warm-up), then for the rest the full value, and for the rare
+//! survivor a binary search and an in-place shift.
 
 use crate::batch::{dedup_preserving_order, for_each_row_chunk};
 use crate::config::{median, F0Config};
 use crate::sketch::F0Sketch;
 use mcf0_gf2::BitVec;
-use mcf0_hashing::{LinearHash, ToeplitzHash, Xoshiro256StarStar};
-use std::collections::BTreeSet;
+use mcf0_hashing::{pack192, unpack192, LinearHash, Packed192, ToeplitzHash, Xoshiro256StarStar};
 
 #[derive(Clone)]
 struct MinimumRow {
     hash: ToeplitzHash,
-    smallest: BTreeSet<BitVec>,
+    /// The smallest hash values seen, ascending and distinct, at most
+    /// `Thresh` of them.
+    smallest: Vec<Packed192>,
 }
 
 impl MinimumRow {
     /// Folds one item into the row's reservoir of smallest hash values.
-    /// `eval_u64` is the word-packed column-XOR evaluation, and the
-    /// reservoir test compares against the current maximum by reference
-    /// before touching the set.
     fn update(&mut self, item: u64, thresh: usize) {
+        let full = self.smallest.len() >= thresh;
+        if full {
+            // The first word decides against the maximum unless it ties,
+            // and past warm-up almost every item loses on it.
+            match self.smallest.last() {
+                Some(max) if self.hash.eval_u64_first_word(item) <= max[0] => {}
+                _ => return,
+            }
+        }
         let value = self.hash.eval_u64(item);
-        if self.smallest.len() < thresh {
-            self.smallest.insert(value);
-        } else if self.smallest.last().is_some_and(|max| &value < max)
-            && self.smallest.insert(value)
-        {
-            // The reservoir grew past `thresh`; evict the (old) maximum.
-            self.smallest.pop_last();
+        if full && self.smallest.last().is_some_and(|max| value >= *max) {
+            return;
+        }
+        let Err(pos) = self.smallest.binary_search(&value) else {
+            return;
+        };
+        if full {
+            // `value` is below the maximum, so `pos` survives the eviction.
+            self.smallest.pop();
+        } else if self.smallest.len() == self.smallest.capacity() {
+            // Grow straight to `Thresh`: one allocation per row, not a
+            // doubling series that overshoots it.
+            self.smallest.reserve_exact(thresh - self.smallest.len());
+        }
+        self.smallest.insert(pos, value);
+    }
+
+    /// Row estimate: `|S|` while the reservoir is not full, else
+    /// `Thresh / (max S as a fraction of 2^{3n})`.
+    fn estimate(&self, thresh: usize) -> f64 {
+        match self.smallest.last() {
+            Some(max) if self.smallest.len() >= thresh => {
+                let frac = word_to_unit_fraction(max[0]);
+                if frac == 0.0 {
+                    f64::INFINITY
+                } else {
+                    thresh as f64 / frac
+                }
+            }
+            _ => self.smallest.len() as f64,
         }
     }
 }
@@ -56,7 +94,7 @@ impl MinimumF0 {
         let rows = (0..config.rows)
             .map(|_| MinimumRow {
                 hash: ToeplitzHash::sample(rng, universe_bits, 3 * universe_bits),
-                smallest: BTreeSet::new(),
+                smallest: Vec::new(),
             })
             .collect();
         MinimumF0 {
@@ -77,19 +115,24 @@ impl MinimumF0 {
         self.rows.len()
     }
 
-    /// Row `i`'s hash draw and current reservoir of smallest hash values —
-    /// the complete per-row state, exported for snapshots.
-    pub fn row_parts(&self, i: usize) -> (&ToeplitzHash, &BTreeSet<BitVec>) {
-        (&self.rows[i].hash, &self.rows[i].smallest)
+    /// Row `i`'s hash draw and current reservoir of smallest hash values,
+    /// ascending, as `3n`-bit vectors — the complete per-row state,
+    /// exported for snapshots.
+    pub fn row_parts(&self, i: usize) -> (&ToeplitzHash, Vec<BitVec>) {
+        let row = &self.rows[i];
+        let width = 3 * self.universe_bits;
+        let smallest = row.smallest.iter().map(|v| unpack192(v, width)).collect();
+        (&row.hash, smallest)
     }
 
-    /// Rebuilds a sketch from exported per-row state (snapshot restore). The
-    /// result is bit-identical to the sketch the parts were exported from;
-    /// the parallel-rows knob resets to sequential.
+    /// Rebuilds a sketch from exported per-row state (snapshot restore); each
+    /// reservoir must be strictly ascending. The result is bit-identical to
+    /// the sketch the parts were exported from; the parallel-rows knob
+    /// resets to sequential.
     pub fn from_parts(
         universe_bits: usize,
         thresh: usize,
-        rows: Vec<(ToeplitzHash, BTreeSet<BitVec>)>,
+        rows: Vec<(ToeplitzHash, Vec<BitVec>)>,
     ) -> Self {
         assert!((1..=64).contains(&universe_bits));
         assert!(thresh >= 1);
@@ -103,7 +146,14 @@ impl MinimumF0 {
                     smallest.iter().all(|v| v.len() == 3 * universe_bits),
                     "reservoir value width"
                 );
-                MinimumRow { hash, smallest }
+                assert!(
+                    smallest.windows(2).all(|w| w[0] < w[1]),
+                    "reservoir not strictly ascending"
+                );
+                MinimumRow {
+                    hash,
+                    smallest: smallest.iter().map(pack192).collect(),
+                }
             })
             .collect();
         MinimumF0 {
@@ -118,10 +168,10 @@ impl MinimumF0 {
     /// distinct-union semantics, i.e. the merged state is bit-identical to
     /// the state after processing both sketches' streams into one sketch.
     /// The two sketches must share their hash draws (same creation seed and
-    /// configuration); per-row the reservoirs are unioned and re-truncated
-    /// to the `Thresh` smallest values, which loses nothing because the
-    /// `Thresh` smallest of a union are among the `Thresh` smallest of each
-    /// side. Panics on a draw or shape mismatch.
+    /// configuration); per-row the reservoirs are merged, deduplicated and
+    /// truncated to the `Thresh` smallest values, which loses nothing
+    /// because the `Thresh` smallest of a union are among the `Thresh`
+    /// smallest of each side. Panics on a draw or shape mismatch.
     pub fn merge_from(&mut self, other: &Self) {
         assert_eq!(self.universe_bits, other.universe_bits, "universe width");
         assert_eq!(self.thresh, other.thresh, "Thresh mismatch");
@@ -132,29 +182,11 @@ impl MinimumF0 {
                 mine.hash == theirs.hash,
                 "merge requires identical hash draws"
             );
-            for value in &theirs.smallest {
-                mine.smallest.insert(value.clone());
-            }
-            while mine.smallest.len() > thresh {
-                mine.smallest.pop_last();
-            }
-        }
-    }
-
-    /// Estimate contributed by a set of `p` smallest hash values of width
-    /// `3n`: `p / (max value as a fraction of 2^{3n})`, or the set size when
-    /// it is not full. Shared with the counting and structured crates so the
-    /// streaming and counting sides compute the estimate identically.
-    pub fn estimate_from_minima(smallest: &BTreeSet<BitVec>, thresh: usize) -> f64 {
-        if smallest.len() < thresh {
-            return smallest.len() as f64;
-        }
-        let max = smallest.iter().next_back().expect("non-empty set");
-        let frac = bitvec_to_unit_fraction(max);
-        if frac == 0.0 {
-            f64::INFINITY
-        } else {
-            thresh as f64 / frac
+            let mut merged = [mine.smallest.as_slice(), &theirs.smallest].concat();
+            merged.sort_unstable();
+            merged.dedup();
+            merged.truncate(thresh);
+            mine.smallest = merged;
         }
     }
 }
@@ -162,11 +194,19 @@ impl MinimumF0 {
 /// Interprets a bit vector as a binary fraction in `[0, 1)` (most significant
 /// bit = 1/2).
 pub fn bitvec_to_unit_fraction(v: &BitVec) -> f64 {
+    // The zeroed tail makes the first word exactly the vector's first 64
+    // bits (zero-padded when shorter).
+    word_to_unit_fraction(v.words().first().copied().unwrap_or(0))
+}
+
+/// The 64 bits of `word` (MSB first) as a binary fraction in `[0, 1)`. 64
+/// leading bits are ample precision for the ratio estimate. The bit-by-bit
+/// sum is the pinned rounding: `word as f64 / 2^64` rounds differently.
+fn word_to_unit_fraction(word: u64) -> f64 {
     let mut value = 0.0f64;
     let mut weight = 0.5f64;
-    // 64 leading bits are ample precision for the ratio estimate.
-    for i in 0..v.len().min(64) {
-        if v.get(i) {
+    for i in 0..64 {
+        if word >> (63 - i) & 1 == 1 {
             value += weight;
         }
         weight *= 0.5;
@@ -217,7 +257,7 @@ impl F0Sketch for MinimumF0 {
         let estimates: Vec<f64> = self
             .rows
             .iter()
-            .map(|row| Self::estimate_from_minima(&row.smallest, self.thresh))
+            .map(|row| row.estimate(self.thresh))
             .collect();
         median(&estimates)
     }

@@ -401,3 +401,125 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The Minimum reservoir against a `BTreeSet<BitVec>` model
+// ---------------------------------------------------------------------------
+
+/// The reference Minimum rows: each row a `BTreeSet` of `3n`-bit hash values
+/// from the `BitVec` evaluation, truncated to the `Thresh` smallest.
+struct MinimumModel {
+    hashes: Vec<mcf0_hashing::ToeplitzHash>,
+    sets: Vec<std::collections::BTreeSet<mcf0_gf2::BitVec>>,
+    bits: usize,
+    thresh: usize,
+}
+
+impl MinimumModel {
+    fn of(sketch: &MinimumF0, bits: usize) -> Self {
+        let rows = sketch.num_rows();
+        MinimumModel {
+            hashes: (0..rows).map(|i| sketch.row_parts(i).0.clone()).collect(),
+            sets: vec![Default::default(); rows],
+            bits,
+            thresh: sketch.thresh(),
+        }
+    }
+
+    fn process(&mut self, item: u64) {
+        use mcf0_hashing::LinearHash;
+        let x = mcf0_gf2::BitVec::from_u64(item, self.bits);
+        for (hash, set) in self.hashes.iter().zip(&mut self.sets) {
+            set.insert(hash.eval(&x));
+            while set.len() > self.thresh {
+                set.pop_last();
+            }
+        }
+    }
+
+    fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.sets.iter_mut().zip(&other.sets) {
+            mine.extend(theirs.iter().cloned());
+            while mine.len() > self.thresh {
+                mine.pop_last();
+            }
+        }
+    }
+
+    /// The pre-packing estimate: the same per-row formula over the model's
+    /// `BitVec` maxima, median over rows.
+    fn estimate(&self) -> f64 {
+        let rows: Vec<f64> = self
+            .sets
+            .iter()
+            .map(|set| match set.last() {
+                Some(max) if set.len() >= self.thresh => {
+                    self.thresh as f64 / mcf0_streaming::minimum::bitvec_to_unit_fraction(max)
+                }
+                _ => set.len() as f64,
+            })
+            .collect();
+        mcf0_streaming::config::median(&rows)
+    }
+
+    fn assert_matches(&self, sketch: &MinimumF0) -> Result<(), TestCaseError> {
+        for (i, set) in self.sets.iter().enumerate() {
+            let expected: Vec<_> = set.iter().cloned().collect();
+            prop_assert_eq!(sketch.row_parts(i).1, expected, "row {}", i);
+        }
+        prop_assert_eq!(sketch.estimate().to_bits(), self.estimate().to_bits());
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn minimum_reservoir_matches_btreeset_model(
+        seed in any::<u64>(),
+        bits in 1usize..=64,
+        thresh in 1usize..24,
+        first in prop::collection::vec(any::<u64>(), 0..120),
+        second in prop::collection::vec(any::<u64>(), 0..120),
+        third in prop::collection::vec(any::<u64>(), 0..60),
+    ) {
+        // Small universes force repeated items and hash values; the wide
+        // ones cross every word boundary of the packed values.
+        let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+        let config = F0Config::explicit(0.8, 0.2, thresh, 3);
+        let mut a = MinimumF0::new(bits, &config, &mut rng_from(seed));
+        let mut b = MinimumF0::new(bits, &config, &mut rng_from(seed));
+        let mut model_a = MinimumModel::of(&a, bits);
+        let mut model_b = MinimumModel::of(&b, bits);
+        for &item in &first {
+            a.process(item & mask);
+            model_a.process(item & mask);
+        }
+        model_a.assert_matches(&a)?;
+        let second: Vec<u64> = second.iter().map(|x| x & mask).collect();
+        b.process_stream(&second);
+        for &item in &second {
+            model_b.process(item);
+        }
+        model_b.assert_matches(&b)?;
+
+        a.merge_from(&b);
+        model_a.merge(&model_b);
+        model_a.assert_matches(&a)?;
+
+        let parts = (0..a.num_rows())
+            .map(|i| {
+                let (hash, smallest) = a.row_parts(i);
+                (hash.clone(), smallest)
+            })
+            .collect();
+        let mut restored = MinimumF0::from_parts(bits, thresh, parts);
+        model_a.assert_matches(&restored)?;
+        for &item in &third {
+            restored.process(item & mask);
+            model_a.process(item & mask);
+        }
+        model_a.assert_matches(&restored)?;
+    }
+}
